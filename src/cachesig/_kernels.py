@@ -1,5 +1,5 @@
-"""Hot numeric kernels with a numba fast path and a pure numpy/python
-fallback.
+"""Amplifier ensemble kernels with a numba fast path and a pure
+numpy/python fallback.
 
 Backend selection: environment variable CACHESIG_BACKEND, one of
   auto   - use numba when importable (default)
@@ -101,47 +101,3 @@ def elapsed_run(u: np.ndarray, p: float, signal_present: bool,
                            present_term, absent_term)
         return float(e), bool(c)
     return _elapsed_py(u, p, signal_present, present_term, absent_term)
-
-
-# ---------------------------------------------------------------------------
-# Netlist tape executor.
-# A compiled netlist is a flat sequence of speculation primitives over a
-# presence bit array: fetch = NOT(all inputs present) XOR flip; inputs are
-# then touched, outputs overwritten with the fetch bit.
-
-
-def _run_tape_py(present, ins_flat, ins_off, outs_flat, outs_off, flips):
-    n_ops = len(ins_off) - 1
-    for op in range(n_ops):
-        allp = 1
-        for j in range(ins_off[op], ins_off[op + 1]):
-            allp &= present[ins_flat[j]]
-        fetch = (1 - allp) ^ flips[op]
-        for j in range(ins_off[op], ins_off[op + 1]):
-            present[ins_flat[j]] = 1
-        for j in range(outs_off[op], outs_off[op + 1]):
-            present[outs_flat[j]] = fetch
-    return present
-
-
-if USING_NUMBA:
-
-    @_numba.njit(cache=True)
-    def _run_tape_nb(present, ins_flat, ins_off, outs_flat, outs_off, flips):  # pragma: no cover
-        n_ops = ins_off.shape[0] - 1
-        for op in range(n_ops):
-            allp = np.uint8(1)
-            for j in range(ins_off[op], ins_off[op + 1]):
-                allp &= present[ins_flat[j]]
-            fetch = (np.uint8(1) - allp) ^ flips[op]
-            for j in range(ins_off[op], ins_off[op + 1]):
-                present[ins_flat[j]] = 1
-            for j in range(outs_off[op], outs_off[op + 1]):
-                present[outs_flat[j]] = fetch
-        return present
-
-
-def run_tape(present, ins_flat, ins_off, outs_flat, outs_off, flips):
-    if USING_NUMBA:
-        return _run_tape_nb(present, ins_flat, ins_off, outs_flat, outs_off, flips)
-    return _run_tape_py(present, ins_flat, ins_off, outs_flat, outs_off, flips)

@@ -6,6 +6,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
+import numpy as np
+
 from .cache import CacheState, LayoutConfig, LineId, allocate_lines
 from .engine import GadgetError
 from .gadgets import GadgetContext, invert, nand, replicate
@@ -109,36 +111,64 @@ def _counter_program(n: int):
     return compile_program(build_counter_netlist(n))
 
 
-def count_lines(st: CounterState, timer: TimerModel, ctx: GadgetContext) -> int:
+def count_lines(st, timer, ctx: GadgetContext, rngs=None):
     """Popcount of the input lines read with ceil(log2(n+1)) timed measures.
 
-    The counter netlist runs through the compiled-tape executor (it is
-    equivalent to the gadget-level path, which the netlist tests pin);
-    counter-bit lines are then read through the timer model.
+    A call counts one cell of trials in a single pass of the bit-sliced
+    executor (it matches the gadget-level path, which the netlist tests
+    pin); each trial's counter-bit lines are then read through its timer.
+
+    - count_lines(st, timer, ctx): one trial, a cell of one, on a prepared
+      CounterState in ctx.state; flips come from ctx.rng; returns the count.
+    - count_lines(n, timers, ctx, rngs): a cell of len(rngs) trials on n
+      input lines.  Trial t draws its input mask rngs[t].integers(0, 2, n)
+      and then its flips from rngs[t]; its counter state is built only after
+      the run and read through timers[t].  ctx supplies the latency and
+      noise models.  Returns (popcount, count) per trial.
+
+    The executor does not model latency jitter, so jitter is rejected.
     """
-    n = len(st.inputs)
+    if ctx.latency.jitter_sigma_ns > 0:
+        raise AlgorithmError("the counter executor does not model latency jitter")
+    single = isinstance(st, CounterState)
+    if single:
+        n, timers, rngs = len(st.inputs), [timer], [ctx.rng]
+        if any(ctx.state.phi(line) for line in st.counter_bits):
+            raise AlgorithmError("counter bit lines must start absent")
+        if len(st.counter_bits) != counter_bit_width(n):
+            raise AlgorithmError(
+                f"need {counter_bit_width(n)} counter bit lines for {n} inputs")
+    else:
+        n, timers, rngs = st, timer, list(rngs)
+        if len(timers) != len(rngs):
+            raise AlgorithmError("need one timer per trial")
     if n < 1:
         raise AlgorithmError("need at least one input line")
-    if any(ctx.state.phi(line) for line in st.counter_bits):
-        raise AlgorithmError("counter bit lines must start absent")
     prog = _counter_program(n)
-    if len(st.counter_bits) != len(prog.output_slots):
-        raise AlgorithmError(
-            f"need {len(prog.output_slots)} counter bit lines for {n} inputs")
-    bits_in = [ctx.state.phi(line) for line in st.inputs]
-    out_bits = run_program(prog, bits_in,
-                           flip_prob=ctx.noise.gadget_flip_prob, rng=ctx.rng)
-    for line in st.inputs:  # every gadget read is destructive
-        ctx.state.touch(line)
-    for line, bit in zip(st.counter_bits, out_bits):
-        if bit:
-            ctx.state.touch(line)
-    value = 0
-    for k, line in enumerate(st.counter_bits):
-        res = measure_line(timer, ctx.latency, ctx.state, line, ctx.rng)
-        if res.estimate:
-            value |= 1 << k
-    return value
+    if single:
+        masks = [[ctx.state.phi(line) for line in st.inputs]]
+    else:
+        masks = [rng.integers(0, 2, n) for rng in rngs]
+    # one int per input line whose bit t is trial t's presence bit
+    columns = np.packbits(np.asarray(masks, dtype=np.uint8), axis=0, bitorder="little")
+    lanes = [int.from_bytes(columns[:, i].tobytes(), "little") for i in range(n)]
+    out = run_program(prog, lanes, flip_prob=ctx.noise.gadget_flip_prob, rng=rngs,
+                      width=len(rngs))
+    results = []
+    for t, (mask, timer_t, rng) in enumerate(zip(masks, timers, rngs)):
+        present = np.flatnonzero(mask).tolist()
+        state, st_t = (ctx.state, st) if single else make_counter_state(n, present)
+        for line in st_t.inputs:  # every gadget read is destructive
+            state.touch(line)
+        for line, lane in zip(st_t.counter_bits, out):
+            if lane >> t & 1:
+                state.touch(line)
+        value = 0
+        for k, line in enumerate(st_t.counter_bits):
+            if measure_line(timer_t, ctx.latency, state, line, rng).estimate:
+                value |= 1 << k
+        results.append((len(present), value))
+    return results[0][1] if single else results
 
 
 def counter_bit_width(n: int) -> int:

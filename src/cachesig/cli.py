@@ -113,7 +113,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     cfg = _load_config(args)
     fmt = cfg.out_format
 
@@ -140,6 +141,8 @@ def main(argv=None) -> int:
             sys.stdout.write(text)
         return 0
     elif args.command == "exec":
+        if set(args.bits) - {"0", "1"}:
+            parser.error(f"bits must be a string of 0s and 1s, got {args.bits!r}")
         with open(args.netlist, "r", encoding="utf-8") as fh:
             net = netlist.parse(fh.read())
         bits = [c == "1" for c in args.bits]

@@ -12,10 +12,10 @@ import numpy as np
 from . import amplifier as amp
 from . import gadgets
 from .algorithms import (
+    AlgorithmError,
     binary_search,
     count_lines,
     counter_bit_width,
-    make_counter_state,
     make_search_state,
 )
 from .cache import CacheState, LayoutConfig, allocate_lines
@@ -219,8 +219,9 @@ def run_binary_search(cfg: ExperimentConfig, sizes=None) -> list[dict]:
             ctx = GadgetContext(state=state, latency=cfg.latency,
                                 noise=cfg.noise, rng=rng)
             got = binary_search(st, timer, ctx)
-            if cfg.noise.gadget_flip_prob == 0 and cfg.latency.jitter_sigma_ns == 0:
-                assert timer.measurements_taken == rounds, "timed-measure budget violated"
+            if cfg.noise.gadget_flip_prob == 0 and cfg.latency.jitter_sigma_ns == 0 \
+                    and timer.measurements_taken != rounds:
+                raise AlgorithmError("timed-measure budget violated")
             correct += got == target
         rows.append({
             "size": size, "trials": cfg.trials, "correct": correct,
@@ -231,23 +232,16 @@ def run_binary_search(cfg: ExperimentConfig, sizes=None) -> list[dict]:
 
 
 def run_counter(cfg: ExperimentConfig, sizes=None) -> list[dict]:
+    ctx = GadgetContext(state=CacheState(), latency=cfg.latency, noise=cfg.noise)
     rows = []
     for size in list(sizes or cfg.sizes):
         width = counter_bit_width(size)
-        rngs = spawn_rngs(cfg.seed + size, cfg.trials)
-        correct = 0
-        for t in range(cfg.trials):
-            rng = rngs[t]
-            mask = rng.integers(0, 2, size)
-            present = [i for i in range(size) if mask[i]]
-            state, st = make_counter_state(size, present)
-            timer = TimerModel(granularity_ns=cfg.timer.granularity_ns,
-                               jitter_ns=cfg.timer.jitter_ns)
-            ctx = GadgetContext(state=state, latency=cfg.latency,
-                                noise=cfg.noise, rng=rng)
-            got = count_lines(st, timer, ctx)
-            assert timer.measurements_taken == width, "timed-measure budget violated"
-            correct += got == len(present)
+        timers = [TimerModel(granularity_ns=cfg.timer.granularity_ns,
+                             jitter_ns=cfg.timer.jitter_ns) for _ in range(cfg.trials)]
+        results = count_lines(size, timers, ctx, spawn_rngs(cfg.seed + size, cfg.trials))
+        if any(timer.measurements_taken != width for timer in timers):
+            raise AlgorithmError("timed-measure budget violated")
+        correct = sum(got == want for want, got in results)
         rows.append({
             "size": size, "trials": cfg.trials, "correct": correct,
             "accuracy": round(correct / cfg.trials, 6),

@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import _kernels
 from .cache import CacheState, LineId
 from .gadgets import GadgetContext, invert, nand as nand_gadget, replicate
 
@@ -364,26 +363,27 @@ def parse(text: str) -> Netlist:
 
 
 # ---------------------------------------------------------------------------
-# Execution: a compiled tape for the fast kernel, and a reference path that
-# drives the actual gadget objects over a CacheState with line pooling.
+# Execution: a compiled op list run over bit-sliced lanes, and a reference
+# path that drives the actual gadget objects over a CacheState with line
+# pooling.
 
 
 @dataclass
 class LineProgram:
     n_slots: int
-    n_ops: int
-    ins_flat: np.ndarray
-    ins_off: np.ndarray
-    outs_flat: np.ndarray
-    outs_off: np.ndarray
+    ops: list[tuple[tuple[int, ...], tuple[int, ...]]]
     input_slots: list[int]
     output_slots: list[int]
 
+    @property
+    def n_ops(self) -> int:
+        return len(self.ops)
+
 
 def compile_program(net: Netlist) -> LineProgram:
-    """Flatten a lowered netlist into a primitive tape.
+    """Flatten a lowered netlist into a list of (input slots, output slots) ops.
 
-    One tape op per gadget invocation: NAND and NOT map 1:1; a k-output
+    One op per gadget invocation: NAND and NOT map 1:1; a k-output
     REPLICATE becomes one inverting-replicate op into temporaries plus k
     inverter ops (the cacheline replicator produces inverted copies).
     """
@@ -406,55 +406,63 @@ def compile_program(net: Netlist) -> LineProgram:
 
     for name in net.inputs:
         slot_of(name)
-    ins_flat: list[int] = []
-    outs_flat: list[int] = []
-    ins_off = [0]
-    outs_off = [0]
-
-    def emit(ins: list[int], outs: list[int]) -> None:
-        ins_flat.extend(ins)
-        outs_flat.extend(outs)
-        ins_off.append(len(ins_flat))
-        outs_off.append(len(outs_flat))
-
+    ops: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
     for gate in net.gates:
         if gate.kind in ("NAND", "NOT"):
-            emit([slot_of(n) for n in gate.ins], [slot_of(gate.outs[0])])
+            ops.append((tuple(slot_of(n) for n in gate.ins), (slot_of(gate.outs[0]),)))
         else:  # REPLICATE
-            temps = [temp_slot() for _ in gate.outs]
-            src = slot_of(gate.ins[0])
-            emit([src], list(temps))
+            temps = tuple(temp_slot() for _ in gate.outs)
+            ops.append(((slot_of(gate.ins[0]),), temps))
             for tmp, out in zip(temps, gate.outs):
-                emit([tmp], [slot_of(out)])
+                ops.append(((tmp,), (slot_of(out),)))
 
     return LineProgram(
         n_slots=counter,
-        n_ops=len(ins_off) - 1,
-        ins_flat=np.asarray(ins_flat, dtype=np.int64),
-        ins_off=np.asarray(ins_off, dtype=np.int64),
-        outs_flat=np.asarray(outs_flat, dtype=np.int64),
-        outs_off=np.asarray(outs_off, dtype=np.int64),
+        ops=ops,
         input_slots=[slot[n] for n in net.inputs],
         output_slots=[slot[n] for n in net.outputs],
     )
 
 
-def run_program(prog: LineProgram, bits, flip_prob: float = 0.0, rng=None) -> list[bool]:
-    """Execute a compiled tape; returns output bits in netlist order."""
-    if len(bits) != len(prog.input_slots):
+def run_program(prog: LineProgram, lanes, flip_prob: float = 0.0, rng=None,
+                width: int = 1) -> list[int]:
+    """Execute a compiled program over bit-sliced lanes (Biham, FSE 1997).
+
+    Each slot holds a Python int with one presence bit per trial, so one
+    pass over the ops runs `width` trials: per op, fetch = NOT(AND of the
+    inputs) XOR flips; inputs are then touched, outputs set to fetch.
+    `lanes` gives one int per input (bit t is trial t's bit; bools serve at
+    width 1).  With flip_prob > 0, `rng` holds one generator per trial (a
+    bare generator at width 1) and trial t flips every op k with
+    rng[t].random(n_ops)[k] < flip_prob.  Returns the output lanes in
+    netlist order.
+    """
+    if len(lanes) != len(prog.input_slots):
         raise NetlistError("assignment length mismatch")
-    present = np.zeros(prog.n_slots, dtype=np.uint8)
-    for s, bit in zip(prog.input_slots, bits):
-        present[s] = 1 if bit else 0
+    full = (1 << width) - 1
+    flips = [0] * prog.n_ops
     if flip_prob > 0:
         if rng is None:
             raise NetlistError("flip_prob > 0 requires an rng")
-        flips = (rng.random(prog.n_ops) < flip_prob).astype(np.uint8)
-    else:
-        flips = np.zeros(prog.n_ops, dtype=np.uint8)
-    _kernels.run_tape(present, prog.ins_flat, prog.ins_off,
-                      prog.outs_flat, prog.outs_off, flips)
-    return [bool(present[s]) for s in prog.output_slots]
+        rngs = [rng] if isinstance(rng, np.random.Generator) else list(rng)
+        if len(rngs) != width:
+            raise NetlistError(f"need one rng per trial, got {len(rngs)} for width {width}")
+        for t, gen in enumerate(rngs):
+            bit = 1 << t
+            for op in np.flatnonzero(gen.random(prog.n_ops) < flip_prob).tolist():
+                flips[op] |= bit
+    present = [0] * prog.n_slots
+    for s, lane in zip(prog.input_slots, lanes):
+        present[s] = int(lane) & full
+    for (ins, outs), flip in zip(prog.ops, flips):
+        allp = full
+        for s in ins:
+            allp &= present[s]
+            present[s] = full
+        fetch = full ^ allp ^ flip
+        for s in outs:
+            present[s] = fetch
+    return [present[s] for s in prog.output_slots]
 
 
 class LinePool:
@@ -539,8 +547,9 @@ def execute(net: Netlist, assignment, ctx: GadgetContext | None = None,
     """Run a netlist on simulated cacheline state.
 
     `assignment` is a bit sequence in input order.  backend "auto"/"tape"
-    uses the compiled-tape kernel (zero-noise unless ctx supplies a flip
-    probability); "gadgets" drives the full gadget machinery.
+    runs the compiled program at width 1 (zero-noise unless ctx supplies a
+    flip probability; it does not model latency jitter, so a ctx with
+    jitter is rejected); "gadgets" drives the full gadget machinery.
     """
     low = net if is_lowered(net) else lower(net)
     bits = [bool(b) for b in assignment]
@@ -552,9 +561,12 @@ def execute(net: Netlist, assignment, ctx: GadgetContext | None = None,
         return execute_gadgets(low, bits, ctx, max_lines=max_lines)
     if backend not in ("auto", "tape"):
         raise NetlistError(f"unknown backend {backend!r}")
+    if ctx is not None and ctx.latency.jitter_sigma_ns > 0:
+        raise NetlistError("the tape executor does not model latency jitter; "
+                           "use backend 'gadgets'")
     prog = compile_program(low)
     if max_lines is not None and prog.n_slots > max_lines:
         raise NetlistError("line budget exhausted")
     flip_prob = ctx.noise.gadget_flip_prob if ctx is not None else 0.0
     rng = ctx.rng if ctx is not None else None
-    return run_program(prog, bits, flip_prob=flip_prob, rng=rng)
+    return [bool(b) for b in run_program(prog, bits, flip_prob=flip_prob, rng=rng)]

@@ -103,3 +103,35 @@ def test_search_deterministic_under_fixed_seed():
         state, st = make_search_state(32, 17)
         results.add(binary_search(st, TimerModel(), make_ctx(state, seed=5)))
     assert results == {17}
+
+
+def test_counter_rejects_latency_jitter():
+    state, st = make_counter_state(4, [1])
+    ctx = GadgetContext(state=state, latency=LatencyModel(jitter_sigma_ns=10.0),
+                        rng=np.random.default_rng(0))
+    with pytest.raises(AlgorithmError, match="jitter"):
+        count_lines(st, TimerModel(), ctx)
+    with pytest.raises(AlgorithmError, match="jitter"):
+        count_lines(4, [TimerModel()], ctx, [np.random.default_rng(0)])
+
+
+def test_counter_cell_matches_single_trials():
+    """A cell of T trials equals T prepared single trials drawn the same way
+    (exact match: same mask, flip and timer draws per trial)."""
+    noise = NoiseModel(gadget_flip_prob=0.02)
+    cell_ctx = GadgetContext(state=None, latency=LAT, noise=noise)
+    for n in (1, 5, 16):
+        seeds = range(12)
+        timers = [TimerModel(jitter_ns=30.0) for _ in seeds]
+        cell = count_lines(n, timers, cell_ctx, [np.random.default_rng(s) for s in seeds])
+        single = []
+        for s in seeds:
+            rng = np.random.default_rng(s)
+            mask = rng.integers(0, 2, n)
+            present = [i for i in range(n) if mask[i]]
+            state, st = make_counter_state(n, present)
+            timer = TimerModel(jitter_ns=30.0)
+            ctx = GadgetContext(state=state, latency=LAT, noise=noise, rng=rng)
+            single.append((len(present), count_lines(st, timer, ctx)))
+            assert timer.reads_taken == timers[s].reads_taken
+        assert cell == single

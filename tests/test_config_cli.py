@@ -124,3 +124,15 @@ def test_cli_json_determinism(capsys):
     args = ["amp-sweep", "--iterations", "100", "--trials", "10", "--seed", "4",
             "--format", "json"]
     assert run_cli(args, capsys) == run_cli(args, capsys)
+
+
+@pytest.mark.parametrize("bits", ["1x", "2", "1 0", "10\n"])
+def test_cli_exec_rejects_bad_bits(tmp_path, capsys, bits):
+    net = tmp_path / "xor.net"
+    net.write_text("inputs a b\noutputs y\ny = XOR(a, b)\n")
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["exec", str(net), bits])
+    assert exc.value.code != 0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "0s and 1s" in captured.err

@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cachesig.cache import CacheState
+from cachesig.gadgets import GadgetContext
 from cachesig.netlist import (
+    SOURCE_KINDS,
     Gate,
     Netlist,
     NetlistError,
@@ -13,6 +16,7 @@ from cachesig.netlist import (
     compile_program,
     evaluate,
     execute,
+    execute_gadgets,
     half_adder_gates,
     is_lowered,
     lint_single_use,
@@ -23,6 +27,7 @@ from cachesig.netlist import (
     validate,
     _Names,
 )
+from cachesig.timing import LatencyModel
 
 
 def xor_netlist():
@@ -228,3 +233,73 @@ def test_tape_flip_noise_requires_rng():
     out = run_program(prog, [True, False], flip_prob=1.0,
                       rng=np.random.default_rng(0))
     assert out in ([True], [False])  # every op inverted; still well-defined
+
+
+def test_tape_rejects_latency_jitter():
+    ctx = GadgetContext(state=CacheState(), latency=LatencyModel(jitter_sigma_ns=10.0))
+    for backend in ("auto", "tape"):
+        with pytest.raises(NetlistError, match="jitter"):
+            execute(xor_netlist(), [True, False], ctx=ctx, backend=backend)
+    assert execute(xor_netlist(), [True, False], ctx=ctx, backend="gadgets") in ([True], [False])
+
+
+@st.composite
+def source_netlists(draw):
+    """Random valid netlists over the whole source gate menu."""
+    inputs = [f"i{k}" for k in range(draw(st.integers(1, 4)))]
+    signals = list(inputs)
+    gates = []
+    for g in range(draw(st.integers(0, 7))):
+        kind = draw(st.sampled_from(sorted(SOURCE_KINDS)))
+        if kind in ("NOT", "REPLICATE"):
+            arity = 1
+        elif kind == "XOR":
+            arity = 2
+        else:
+            arity = draw(st.integers(2, 3))
+        ins = tuple(draw(st.sampled_from(signals)) for _ in range(arity))
+        n_out = draw(st.integers(1, 3)) if kind == "REPLICATE" else 1
+        outs = tuple(f"g{g}_{k}" for k in range(n_out))
+        gates.append(Gate(kind, ins, outs))
+        signals.extend(outs)
+    outputs = draw(st.lists(st.sampled_from(signals), min_size=1, max_size=3, unique=True))
+    return Netlist(inputs=inputs, gates=gates, outputs=outputs)
+
+
+def pack_lanes(rows):
+    """Bit-slice per-trial bit rows into one int per input."""
+    return [sum(int(row[i]) << t for t, row in enumerate(rows)) for i in range(len(rows[0]))]
+
+
+@settings(max_examples=80, deadline=None)
+@given(source_netlists())
+def test_executors_agree_at_zero_noise(net):
+    """Exact match: bit-sliced executor == evaluate == gadget executor, for
+    every assignment one at a time and for all of them as one batch."""
+    low = lower(net)
+    prog = compile_program(low)
+    cases = list(itertools.product((False, True), repeat=len(net.inputs)))
+    batch = run_program(prog, pack_lanes(cases), width=len(cases))
+    for t, bits in enumerate(cases):
+        want = list(evaluate(net, dict(zip(net.inputs, bits))).values())
+        assert run_program(prog, list(bits)) == want
+        assert [bool(lane >> t & 1) for lane in batch] == want
+        ctx = GadgetContext(state=CacheState(), rng=np.random.default_rng(0))
+        assert execute_gadgets(low, list(bits), ctx) == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(source_netlists(), st.integers(1, 9), st.integers(0, 2**16),
+       st.sampled_from([0.05, 0.3, 1.0]))
+def test_batch_equals_single_runs_under_flips(net, width, seed, flip_prob):
+    """Exact match: with the same per-trial flip draws, lane t of a width-T
+    batch equals a width-1 run of trial t."""
+    prog = compile_program(lower(net))
+    rows = [np.random.default_rng([seed, t]).integers(0, 2, len(net.inputs))
+            for t in range(width)]
+    rngs = [np.random.default_rng([seed, t, 1]) for t in range(width)]
+    batch = run_program(prog, pack_lanes(rows), flip_prob=flip_prob, rng=rngs, width=width)
+    for t, row in enumerate(rows):
+        single = run_program(prog, list(row), flip_prob=flip_prob,
+                             rng=np.random.default_rng([seed, t, 1]))
+        assert [lane >> t & 1 for lane in batch] == single
