@@ -9,8 +9,7 @@ from functools import lru_cache
 import numpy as np
 
 from .cache import CacheState, LayoutConfig, LineId, allocate_lines
-from .engine import GadgetError
-from .gadgets import GadgetContext, invert, nand, replicate
+from .gadgets import GadgetContext, nand, replicate
 from .netlist import build_counter_netlist, compile_program, run_program
 from .timing import TimerModel, measure_line
 
@@ -69,20 +68,16 @@ def binary_search(st: SearchState, timer: TimerModel, ctx: GadgetContext,
         mid = (lo + hi + 1) // 2
         test = [st.work[2 * i] for i in range(lo, mid)]
         if len(test) == 1:
-            invert(test[0], st.result, ctx)
+            replicate(test[0], [st.result], ctx)
         else:
             nand(test, st.result, ctx)
         for i in range(lo, hi + 1):
             ctx.state.flush(st.signal[i])
-            invert(st.work[2 * i + 1], st.signal[i], ctx)
+            replicate(st.work[2 * i + 1], [st.signal[i]], ctx)
         res = measure_line(timer, ctx.latency, ctx.state, st.result, ctx.rng)
-        if res.indeterminate:
-            # retry once, then fall back to the not-present branch
-            ctx.state.flush(st.result)  # undo the destructive read for the retry
-            res = measure_line(timer, ctx.latency, ctx.state, st.result, ctx.rng)
-            if res.indeterminate:
-                res.estimate = False
-        if res.estimate:
+        # a timer that cannot split hit from miss never will: take the
+        # not-present branch
+        if res.estimate and not res.indeterminate:
             hi = mid - 1
         else:
             lo = mid

@@ -7,8 +7,9 @@ restore the signal from the reserved line.  Signal strength is the
 elapsed-time gap between the signal-present and signal-absent cases,
 (accesslen-1) * (miss-hit) per iteration at defaults.
 
-Large ensembles run through the kernels in `_kernels`; the gadget-level
-loop here is the reference implementation and is tested equivalent.
+Large ensembles run through the vectorised `simulate_elapsed` and
+`paired_strength`; the gadget-level loop here is the reference
+implementation and is tested equivalent.
 """
 
 from __future__ import annotations
@@ -18,10 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels
 from .cache import CacheState, LayoutConfig, LineId, allocate_lines
 from .engine import GadgetError
-from .gadgets import GadgetContext, invert, replicate
+from .gadgets import GadgetContext, replicate
 from .timing import LatencyModel, NoiseModel, TimerModel
 
 
@@ -131,15 +131,17 @@ def self_reinforcing(input_line: LineId, cfg: AmplifierConfig,
         single_stage(current, working, cfg, ctx)
         elapsed += dependent_access_time(working[:-1], ctx)
         ctx.state.flush(spare)
-        invert(working[-1], spare, ctx)
+        replicate(working[-1], [spare], ctx)
         current, spare = spare, current
     return AmplifierRun(elapsed_ns=elapsed, iterations=cfg.iterations,
                         corrupted=corrupted, input_line=current)
 
 
 # ---------------------------------------------------------------------------
-# Kernel-backed ensemble paths (equivalent to the loop above at zero
-# latency jitter; exercised against it in the test suite).
+# Vectorised ensemble paths (equivalent to the loop above at zero latency
+# jitter; exercised against it in the test suite).  A flip at iteration i
+# toggles the live signal from i on, so the live value is the running
+# parity of the flips.
 
 
 def simulate_elapsed(signal_present: bool, cfg: AmplifierConfig,
@@ -149,8 +151,10 @@ def simulate_elapsed(signal_present: bool, cfg: AmplifierConfig,
     if p == 0.0:
         term = present_term if signal_present else absent_term
         return cfg.iterations * term, False
-    u = rng.random(cfg.iterations)
-    return _kernels.elapsed_run(u, p, signal_present, present_term, absent_term)
+    flips = rng.random(cfg.iterations) < p
+    n_present = int(np.sum((np.cumsum(flips) & 1) ^ signal_present))
+    elapsed = present_term * n_present + absent_term * (cfg.iterations - n_present)
+    return elapsed, bool(flips.any())
 
 
 def paired_strength(cfg: AmplifierConfig, noise: NoiseModel,
@@ -165,9 +169,9 @@ def paired_strength(cfg: AmplifierConfig, noise: NoiseModel,
     p = noise.corruption_prob_per_iteration
     if p == 0.0:
         return SignalStrengthSample(cfg.iterations * delta, cfg.iterations, False)
-    u = rng.random(cfg.iterations)
-    strength, corrupted = _kernels.pair_strength(u, p, delta)
-    return SignalStrengthSample(strength, cfg.iterations, corrupted)
+    flips = rng.random(cfg.iterations) < p
+    signed = np.sum(1 - 2 * (np.cumsum(flips) & 1))
+    return SignalStrengthSample(delta * float(signed), cfg.iterations, bool(flips.any()))
 
 
 def strength_ensemble(cfg: AmplifierConfig, noise: NoiseModel,

@@ -90,9 +90,6 @@ class CacheState:
     def lines(self) -> frozenset[LineId]:
         return frozenset(self._registered)
 
-    def present_lines(self) -> frozenset[LineId]:
-        return frozenset(self._present)
-
     def _check(self, line: LineId) -> None:
         if line not in self._registered:
             raise UnknownLineError(f"line {line!r} not registered")
@@ -118,20 +115,3 @@ class CacheState:
         self._present.pop(line, None)
         self._generation += 1
         return self
-
-    def flush_all(self, lines) -> "CacheState":
-        for line in lines:
-            self.flush(line)
-        return self
-
-
-def phi(state: CacheState, line: LineId) -> bool:
-    return state.phi(line)
-
-
-def touch(state: CacheState, line: LineId) -> CacheState:
-    return state.touch(line)
-
-
-def flush(state: CacheState, line: LineId) -> CacheState:
-    return state.flush(line)

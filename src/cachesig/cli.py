@@ -10,7 +10,11 @@ import io
 import json
 import sys
 
-from . import __version__, _kernels, asm, config, experiments, netlist
+from . import __version__, algorithms, asm, cache, config, engine, experiments, netlist, timing
+
+# The package's own errors: reported as usage errors, not tracebacks.
+PACKAGE_ERRORS = (config.ConfigError, netlist.NetlistError, algorithms.AlgorithmError,
+                  engine.GadgetError, timing.TimingError, cache.CacheModelError, asm.EmitError)
 
 
 def rows_to_csv(rows) -> str:
@@ -27,7 +31,6 @@ def rows_to_json(rows, cfg: config.ExperimentConfig, command: str) -> str:
     doc = {
         "tool": "cachesig",
         "version": __version__,
-        "backend": _kernels.backend_name(),
         "command": command,
         "config": {
             "seed": cfg.seed,
@@ -42,13 +45,17 @@ def rows_to_json(rows, cfg: config.ExperimentConfig, command: str) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-def write_output(rows, cfg, command: str, out_path: str | None, fmt: str) -> None:
-    text = rows_to_csv(rows) if fmt == "csv" else rows_to_json(rows, cfg, command)
+def write_text(text: str, out_path: str | None) -> None:
     if out_path and out_path != "-":
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def write_output(rows, cfg, command: str, out_path: str | None, fmt: str) -> None:
+    write_text(rows_to_csv(rows) if fmt == "csv" else rows_to_json(rows, cfg, command),
+               out_path)
 
 
 def _load_config(args) -> config.ExperimentConfig:
@@ -73,7 +80,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int, help="root RNG seed")
     common.add_argument("--trials", type=int, help="trials per experiment cell")
     common.add_argument("--out", "-o", help="output path ('-' for stdout)")
-    common.add_argument("--format", choices=("csv", "json"), help="output format")
+    common.add_argument("--format", choices=config.OUT_FORMATS, help="output format")
 
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("truth-tables", parents=[common],
@@ -100,7 +107,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="execute a netlist on an input assignment")
     p.add_argument("netlist", help="netlist text file")
     p.add_argument("bits", help="input bits in declaration order, e.g. 1011")
-    p.add_argument("--backend", choices=("auto", "tape", "gadgets"), default="auto")
+    p.add_argument("--backend", choices=("lanes", "gadgets"), default="lanes",
+                   help="bit-sliced lane executor, or the gadget-level reference")
     p = sub.add_parser("emit-asm", parents=[common],
                        help="emit gadget assembler text")
     p.add_argument("kind", choices=[k.value for k in asm.EmitKind])
@@ -115,6 +123,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    try:
+        return _run(parser, args)
+    except PACKAGE_ERRORS as exc:
+        parser.error(str(exc))
+
+
+def _run(parser: argparse.ArgumentParser, args) -> int:
     cfg = _load_config(args)
     fmt = cfg.out_format
 
@@ -133,12 +148,7 @@ def main(argv=None) -> int:
     elif args.command == "compile":
         with open(args.netlist, "r", encoding="utf-8") as fh:
             net = netlist.parse(fh.read())
-        text = netlist.serialize(netlist.lower(net))
-        if args.out and args.out != "-":
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
+        write_text(netlist.serialize(netlist.lower(net)), args.out)
         return 0
     elif args.command == "exec":
         if set(args.bits) - {"0", "1"}:
@@ -153,12 +163,7 @@ def main(argv=None) -> int:
         req = asm.EmitRequest(kind=asm.EmitKind(args.kind), deplen=args.deplen,
                               accesslen=args.accesslen, fan_in=args.fan_in,
                               stride=args.stride, label_base=args.label_base)
-        text = asm.emit(req)
-        if args.out and args.out != "-":
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
+        write_text(asm.emit(req), args.out)
         return 0
     else:  # pragma: no cover - argparse enforces the choices
         raise SystemExit(2)

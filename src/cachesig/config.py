@@ -12,6 +12,11 @@ from .amplifier import AmplifierConfig
 from .timing import LatencyModel, NoiseModel
 
 ENV_PREFIX = "CACHESIG"
+OUT_FORMATS = ("csv", "json")
+
+
+class ConfigError(Exception):
+    pass
 
 
 @dataclass
@@ -62,8 +67,6 @@ def to_ini(cfg: ExperimentConfig) -> str:
 
 
 def _coerce(text: str, template):
-    if isinstance(template, bool):
-        return text.strip().lower() in ("1", "true", "yes")
     if isinstance(template, int):
         return int(text)
     if isinstance(template, float):
@@ -121,4 +124,8 @@ def load(path: str | None = None, environ=None) -> ExperimentConfig:
             cfg = from_ini(fh.read())
     else:
         cfg = ExperimentConfig()
-    return apply_env(cfg, environ)
+    cfg = apply_env(cfg, environ)
+    if cfg.out_format not in OUT_FORMATS:
+        raise ConfigError(f"out_format must be one of {', '.join(OUT_FORMATS)}, "
+                          f"got {cfg.out_format!r}")
+    return cfg

@@ -29,11 +29,6 @@ class Combine(enum.Enum):
     SUM_CHAIN = "sum"
 
 
-class OutputDependency(enum.Enum):
-    INDEPENDENT = "independent"
-    DEPENDENT = "dependent"
-
-
 @dataclass(frozen=True)
 class GuardGroup:
     inputs: tuple[LineId, ...]
@@ -54,7 +49,6 @@ class GadgetSpec:
     guards: tuple[GuardGroup, ...]
     deplen: int
     outputs: tuple[LineId, ...]
-    output_dependency: OutputDependency = OutputDependency.INDEPENDENT
 
     def __post_init__(self):
         if not self.guards:
@@ -69,10 +63,6 @@ class GadgetSpec:
 
     def guard_inputs(self) -> set[LineId]:
         return {line for g in self.guards for line in g.inputs}
-
-    @property
-    def window_ns_factor(self) -> int:
-        return self.deplen
 
 
 @dataclass

@@ -76,7 +76,7 @@ class GateBench:
                 state.touch(line)
         ctx = GadgetContext(state=state, latency=latency, noise=noise, rng=rng)
         if self.kind is GateKind.NOT:
-            gadgets.invert(self.inputs[0], self.outputs[0], ctx)
+            gadgets.replicate(self.inputs[0], [self.outputs[0]], ctx)
         elif self.kind is GateKind.NOR:
             gadgets.nor(self.inputs[0], self.inputs[1], self.outputs[0], ctx)
         elif self.kind is GateKind.NAND:

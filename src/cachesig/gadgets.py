@@ -54,14 +54,8 @@ def _run(ctx: GadgetContext, guards, outputs) -> CacheState:
     return state
 
 
-def invert(a: LineId, b: LineId, ctx: GadgetContext) -> CacheState:
-    if a == b:
-        raise GadgetError("inverter input and output must differ")
-    _require_absent(ctx, [b])
-    return _run(ctx, [GuardGroup((a,))], [b])
-
-
 def replicate(a: LineId, outs, ctx: GadgetContext) -> CacheState:
+    """Set each output line to NOT a; with one output this is the inverter."""
     outs = list(outs)
     if not outs:
         raise GadgetError("replicate needs at least one output")
@@ -101,7 +95,7 @@ HALF_ADDER_SCRATCH = 15
 
 
 def half_adder(a, b, sum_line, carry_line, scratch, ctx: GadgetContext) -> CacheState:
-    """sum = a XOR b, carry = a AND b, built from replicate/invert/nand only.
+    """sum = a XOR b, carry = a AND b, built from replicate/nand only.
 
     The replicator produces inverted copies, so true copies of each input
     are recovered through inverters before the NAND stages; 15 scratch
@@ -118,14 +112,14 @@ def half_adder(a, b, sum_line, carry_line, scratch, ctx: GadgetContext) -> Cache
 
     replicate(a, [a1, a2], ctx)          # a1, a2 = NOT a
     replicate(b, [b1, b2], ctx)
-    invert(a1, ta1, ctx)                 # true copies of a and b
-    invert(a2, ta2, ctx)
-    invert(b1, tb1, ctx)
-    invert(b2, tb2, ctx)
+    replicate(a1, [ta1], ctx)            # true copies of a and b
+    replicate(a2, [ta2], ctx)
+    replicate(b1, [tb1], ctx)
+    replicate(b2, [tb2], ctx)
     nand([ta1, tb1], n1, ctx)            # n1 = NAND(a, b)
     replicate(n1, [m1, m2, carry_line], ctx)  # carry = NOT n1 = a AND b
-    invert(m1, u1, ctx)                  # u* = NAND(a, b) again
-    invert(m2, u2, ctx)
+    replicate(m1, [u1], ctx)             # u* = NAND(a, b) again
+    replicate(m2, [u2], ctx)
     nand([ta2, u1], x1, ctx)
     nand([tb2, u2], x2, ctx)
     nand([x1, x2], sum_line, ctx)        # sum = a XOR b

@@ -9,12 +9,12 @@ NAND, NOR} netlists onto the {NAND, NOT, REPLICATE} gadget menu.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .cache import CacheState, LineId
-from .gadgets import GadgetContext, invert, nand as nand_gadget, replicate
+from .gadgets import GadgetContext, nand as nand_gadget, replicate
 
 SOURCE_KINDS = {"AND", "OR", "XOR", "NOT", "NAND", "NOR", "REPLICATE"}
 TARGET_KINDS = {"NAND", "NOT", "REPLICATE"}
@@ -85,7 +85,11 @@ def lint_single_use(net: Netlist) -> list[str]:
 
 
 def is_lowered(net: Netlist) -> bool:
-    return all(g.kind in TARGET_KINDS for g in net.gates) and not lint_single_use(net)
+    """Gates on the target menu, and every signal used at most once, where
+    a netlist output counts as a use (as in `lower`)."""
+    consumed = {name for gate in net.gates for name in gate.ins}
+    return (all(g.kind in TARGET_KINDS for g in net.gates) and not lint_single_use(net)
+            and consumed.isdisjoint(net.outputs))
 
 
 def evaluate(net: Netlist, assignment: dict[str, bool]) -> dict[str, bool]:
@@ -208,26 +212,17 @@ def lower(net: Netlist) -> Netlist:
         kind, ins, out = gate.kind, gate.ins, gate.outs[0]
         if kind in TARGET_KINDS:
             lowered.append(gate)
-        elif kind == "AND":
-            t = names.fresh()
-            lowered.append(Gate("NAND", ins, (t,)))
-            lowered.append(Gate("NOT", (t,), (out,)))
-        elif kind == "OR":
-            inv = []
-            for name in ins:
+        elif kind in ("AND", "OR", "NOR"):
+            if kind != "AND":  # OR = NAND of the inverted inputs, NOR = their AND
+                inverted = tuple(names.fresh() for _ in ins)
+                lowered.extend(Gate("NOT", (name,), (t,)) for name, t in zip(ins, inverted))
+                ins = inverted
+            if kind == "OR":
+                lowered.append(Gate("NAND", ins, (out,)))
+            else:
                 t = names.fresh()
-                lowered.append(Gate("NOT", (name,), (t,)))
-                inv.append(t)
-            lowered.append(Gate("NAND", tuple(inv), (out,)))
-        elif kind == "NOR":
-            inv = []
-            for name in ins:
-                t = names.fresh()
-                lowered.append(Gate("NOT", (name,), (t,)))
-                inv.append(t)
-            t = names.fresh()
-            lowered.append(Gate("NAND", tuple(inv), (t,)))
-            lowered.append(Gate("NOT", (t,), (out,)))
+                lowered.append(Gate("NAND", ins, (t,)))
+                lowered.append(Gate("NOT", (t,), (out,)))
         elif kind == "XOR":
             a, b = ins
             a1, a2 = names.fresh("x"), names.fresh("x")
@@ -526,7 +521,7 @@ def execute_gadgets(net: Netlist, bits, ctx: GadgetContext,
         elif gate.kind == "NOT":
             src = consume(gate.ins[0])
             out = pool.acquire()
-            invert(src, out, ctx)
+            replicate(src, [out], ctx)
             pool.release(src)
             lines[gate.outs[0]] = out
         else:  # REPLICATE: inverting replicate + one inverter per copy
@@ -536,18 +531,18 @@ def execute_gadgets(net: Netlist, bits, ctx: GadgetContext,
             pool.release(src)
             for tmp, name in zip(temps, gate.outs):
                 out = pool.acquire()
-                invert(tmp, out, ctx)
+                replicate(tmp, [out], ctx)
                 pool.release(tmp)
                 lines[name] = out
     return [ctx.state.phi(lines[name]) for name in net.outputs]
 
 
 def execute(net: Netlist, assignment, ctx: GadgetContext | None = None,
-            backend: str = "auto", max_lines: int | None = None) -> list[bool]:
+            backend: str = "lanes", max_lines: int | None = None) -> list[bool]:
     """Run a netlist on simulated cacheline state.
 
-    `assignment` is a bit sequence in input order.  backend "auto"/"tape"
-    runs the compiled program at width 1 (zero-noise unless ctx supplies a
+    `assignment` is a bit sequence in input order.  backend "lanes" runs
+    the compiled program at width 1 (zero-noise unless ctx supplies a
     flip probability; it does not model latency jitter, so a ctx with
     jitter is rejected); "gadgets" drives the full gadget machinery.
     """
@@ -559,10 +554,10 @@ def execute(net: Netlist, assignment, ctx: GadgetContext | None = None,
         if ctx is None:
             ctx = GadgetContext(state=CacheState())
         return execute_gadgets(low, bits, ctx, max_lines=max_lines)
-    if backend not in ("auto", "tape"):
+    if backend != "lanes":
         raise NetlistError(f"unknown backend {backend!r}")
     if ctx is not None and ctx.latency.jitter_sigma_ns > 0:
-        raise NetlistError("the tape executor does not model latency jitter; "
+        raise NetlistError("the lanes executor does not model latency jitter; "
                            "use backend 'gadgets'")
     prog = compile_program(low)
     if max_lines is not None and prog.n_slots > max_lines:

@@ -50,10 +50,6 @@ class LatencyModel:
         return max(base, 0.0)
 
 
-def access_latency(model: LatencyModel, is_hit: bool, rng) -> float:
-    return model.access(is_hit, rng)
-
-
 @dataclass
 class TimerModel:
     granularity_ns: float = 1.0
@@ -81,10 +77,6 @@ class TimerModel:
         if self.jitter_ns > 0:
             value += rng.uniform(0.0, self.jitter_ns)
         return value
-
-
-def timed_measure(timer: TimerModel, true_duration_ns: float, rng) -> float:
-    return timer.measure(true_duration_ns, rng)
 
 
 @dataclass

@@ -115,7 +115,7 @@ def test_criterion_2_destructive_input_law():
             ins = lines[:1]
             if rng.integers(2):
                 state.touch(lines[0])
-            gadgets.invert(lines[0], lines[1], ctx)
+            gadgets.replicate(lines[0], [lines[1]], ctx)
         violations += not all(state.phi(line) for line in ins)
     report(2, violations == 0,
            f"guard inputs present after 10000 random invocations "

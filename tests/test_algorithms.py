@@ -53,14 +53,15 @@ def test_binary_search_precondition_check():
         binary_search(st, TimerModel(), make_ctx(state), check_preconditions=True)
 
 
-def test_binary_search_indeterminate_retries_then_defaults():
+def test_binary_search_indeterminate_defaults_without_retry():
     # a 1 us timer cannot split hit from miss: every measure is
-    # indeterminate, the search burns its retry and walks to the top end
+    # indeterminate, and the search walks to the top end on one measure
+    # per round
     state, st = make_search_state(4, 0)
     timer = TimerModel(granularity_ns=1000.0)
     result = binary_search(st, timer, make_ctx(state))
     assert result == 3  # all "not present in first half" decisions
-    assert timer.measurements_taken == 2 * 2  # one retry per round
+    assert timer.measurements_taken == 2
 
 
 def test_counter_state_validation():

@@ -9,9 +9,6 @@ from cachesig.cache import (
     MIN_STRIDE,
     UnknownLineError,
     allocate_lines,
-    flush,
-    phi,
-    touch,
 )
 
 
@@ -91,13 +88,3 @@ def test_capacity_evicts_least_recent():
     state.touch(c)
     assert state.phi(a) and state.phi(c)
     assert not state.phi(b)
-
-
-def test_module_level_wrappers():
-    lines = allocate_lines(LayoutConfig(count=1))
-    state = CacheState(lines)
-    assert not phi(state, lines[0])
-    touch(state, lines[0])
-    assert phi(state, lines[0])
-    flush(state, lines[0])
-    assert not phi(state, lines[0])

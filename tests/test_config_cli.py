@@ -64,8 +64,9 @@ def test_cli_compile_and_exec(tmp_path, capsys):
     assert "NAND" in lowered and "XOR" not in lowered
     for bits, want in (("00", "0"), ("01", "1"), ("10", "1"), ("11", "0")):
         assert run_cli(["exec", str(net), bits], capsys).strip() == want
-    assert run_cli(["exec", str(net), "10", "--backend", "gadgets"],
-                   capsys).strip() == "1"
+    for backend in ("lanes", "gadgets"):
+        assert run_cli(["exec", str(net), "10", "--backend", backend],
+                       capsys).strip() == "1"
 
 
 def test_cli_binsearch_csv_deterministic(capsys):
@@ -86,6 +87,7 @@ def test_cli_counter_json(capsys):
     assert doc["tool"] == "cachesig"
     assert doc["command"] == "counter"
     assert doc["config"]["seed"] == 2
+    assert "backend" not in doc
     assert doc["rows"][0]["accuracy"] == 1.0
 
 
@@ -136,3 +138,39 @@ def test_cli_exec_rejects_bad_bits(tmp_path, capsys, bits):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "0s and 1s" in captured.err
+
+
+def test_cli_binsearch_indeterminate_timer(monkeypatch, capsys):
+    # a 1 us timer cannot split hit from miss: one measure per round, no retry
+    monkeypatch.setenv("CACHESIG_TIMER_GRANULARITY_NS", "1000")
+    out = run_cli(["binsearch", "--sizes", "4", "16", "--trials", "3"], capsys)
+    rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+    assert [(row[0], row[4]) for row in rows] == [("4", "2"), ("16", "4")]
+
+
+def cli_error(args, capsys):
+    """Runs the CLI on a failing command; returns its stderr."""
+    with pytest.raises(SystemExit) as exc:
+        cli.main(args)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    return captured.err
+
+
+def test_cli_rejects_unknown_out_format(monkeypatch, capsys):
+    monkeypatch.setenv("CACHESIG_RUN_OUT_FORMAT", "xml")
+    err = cli_error(["counter", "--sizes", "4", "--trials", "2"], capsys)
+    assert "error: out_format must be one of csv, json, got 'xml'" in err
+
+
+def test_cli_exec_wrong_bit_count(tmp_path, capsys):
+    net = tmp_path / "xor.net"
+    net.write_text("inputs a b\noutputs y\ny = XOR(a, b)\n")
+    assert "error: assignment length mismatch" in cli_error(["exec", str(net), "1"], capsys)
+
+
+def test_cli_counter_rejects_latency_jitter(monkeypatch, capsys):
+    monkeypatch.setenv("CACHESIG_LATENCY_JITTER_SIGMA_NS", "10")
+    err = cli_error(["counter", "--sizes", "4", "--trials", "2"], capsys)
+    assert "error: the counter executor does not model latency jitter" in err

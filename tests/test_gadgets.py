@@ -11,7 +11,6 @@ from cachesig.gadgets import (
     MAX_NAND_FAN_IN,
     MAX_REPLICATE_FAN_OUT,
     half_adder,
-    invert,
     nand,
     nor,
     replicate,
@@ -34,10 +33,11 @@ def set_bits(ctx, lines, bits):
 
 
 def test_invert_truth_table():
+    # the inverter is the one-output replicator
     for val in (False, True):
         ctx, (a, b) = make_ctx(2)
         set_bits(ctx, [a], [val])
-        invert(a, b, ctx)
+        replicate(a, [b], ctx)
         assert ctx.state.phi(b) == (not val)
         assert ctx.state.phi(a)  # input consumed
 
@@ -46,7 +46,7 @@ def test_invert_rejects_dirty_output():
     ctx, (a, b) = make_ctx(2)
     ctx.state.touch(b)
     with pytest.raises(GadgetError):
-        invert(a, b, ctx)
+        replicate(a, [b], ctx)
 
 
 def test_replicate_produces_inverted_copies():
@@ -125,7 +125,7 @@ def test_gadgets_destroy_inputs():
 def test_distinctness_enforced():
     ctx, (a, b, out) = make_ctx(3)
     with pytest.raises(GadgetError):
-        invert(a, a, ctx)
+        replicate(a, [a], ctx)
     with pytest.raises(GadgetError):
         replicate(a, [b, b], ctx)
     with pytest.raises(GadgetError):
@@ -139,7 +139,7 @@ def test_flip_noise_changes_outputs():
     for seed in range(200):
         ctx, (a, b) = make_ctx(2, seed=seed)
         ctx.noise = NoiseModel(gadget_flip_prob=0.2)
-        invert(a, b, ctx)
+        replicate(a, [b], ctx)
         flips += not ctx.state.phi(b)  # correct answer is True (input absent)
     assert 10 < flips < 90  # ~20% flip rate
 

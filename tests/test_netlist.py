@@ -2,7 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cachesig.cache import CacheState
 from cachesig.gadgets import GadgetContext
@@ -50,6 +50,11 @@ def mixed_netlist():
         ],
         outputs=["y", "z"],
     )
+
+
+def consumed_output_netlist():
+    # on the target menu and single-use, but the output t is also consumed
+    return parse("inputs a b\noutputs t y\nt = NAND(a, b)\ny = NOT(t)\n")
 
 
 def test_gate_validation():
@@ -198,11 +203,12 @@ def test_tape_matches_oracle():
 
 
 def test_tape_matches_gadget_executor():
-    low = lower(mixed_netlist())
-    for bits in itertools.product((False, True), repeat=3):
-        tape = execute(low, bits, backend="tape")
-        gadg = execute(low, bits, backend="gadgets")
-        assert tape == gadg
+    assert not is_lowered(consumed_output_netlist())
+    for net in (lower(mixed_netlist()), consumed_output_netlist()):
+        for bits in itertools.product((False, True), repeat=len(net.inputs)):
+            want = list(evaluate(net, dict(zip(net.inputs, bits))).values())
+            assert execute(net, bits, backend="lanes") == want
+            assert execute(net, bits, backend="gadgets") == want
 
 
 @settings(max_examples=60, deadline=None)
@@ -210,7 +216,7 @@ def test_tape_matches_gadget_executor():
 def test_counter_tape_equals_gadget_path(n, mask):
     net = build_counter_netlist(n)
     bits = [bool(mask >> i & 1) for i in range(n)]
-    assert execute(net, bits, backend="tape") == execute(net, bits, backend="gadgets")
+    assert execute(net, bits, backend="lanes") == execute(net, bits, backend="gadgets")
 
 
 def test_execute_auto_lowers():
@@ -223,7 +229,7 @@ def test_execute_line_budget():
     with pytest.raises(NetlistError, match="budget"):
         execute(low, [True, True], backend="gadgets", max_lines=3)
     with pytest.raises(NetlistError, match="budget"):
-        execute(low, [True, True], backend="tape", max_lines=3)
+        execute(low, [True, True], backend="lanes", max_lines=3)
 
 
 def test_tape_flip_noise_requires_rng():
@@ -237,9 +243,8 @@ def test_tape_flip_noise_requires_rng():
 
 def test_tape_rejects_latency_jitter():
     ctx = GadgetContext(state=CacheState(), latency=LatencyModel(jitter_sigma_ns=10.0))
-    for backend in ("auto", "tape"):
-        with pytest.raises(NetlistError, match="jitter"):
-            execute(xor_netlist(), [True, False], ctx=ctx, backend=backend)
+    with pytest.raises(NetlistError, match="jitter"):
+        execute(xor_netlist(), [True, False], ctx=ctx, backend="lanes")
     assert execute(xor_netlist(), [True, False], ctx=ctx, backend="gadgets") in ([True], [False])
 
 
@@ -273,9 +278,11 @@ def pack_lanes(rows):
 
 @settings(max_examples=80, deadline=None)
 @given(source_netlists())
+@example(consumed_output_netlist())
 def test_executors_agree_at_zero_noise(net):
     """Exact match: bit-sliced executor == evaluate == gadget executor, for
-    every assignment one at a time and for all of them as one batch."""
+    every assignment one at a time and for all of them as one batch, and
+    `execute` on the unlowered netlist."""
     low = lower(net)
     prog = compile_program(low)
     cases = list(itertools.product((False, True), repeat=len(net.inputs)))
@@ -283,6 +290,7 @@ def test_executors_agree_at_zero_noise(net):
     for t, bits in enumerate(cases):
         want = list(evaluate(net, dict(zip(net.inputs, bits))).values())
         assert run_program(prog, list(bits)) == want
+        assert execute(net, list(bits)) == want
         assert [bool(lane >> t & 1) for lane in batch] == want
         ctx = GadgetContext(state=CacheState(), rng=np.random.default_rng(0))
         assert execute_gadgets(low, list(bits), ctx) == want
