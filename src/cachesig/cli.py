@@ -32,14 +32,9 @@ def rows_to_json(rows, cfg: config.ExperimentConfig, command: str) -> str:
         "tool": "cachesig",
         "version": __version__,
         "command": command,
-        "config": {
-            "seed": cfg.seed,
-            "trials": cfg.trials,
-            "latency": vars(cfg.latency),
-            "timer": vars(cfg.timer),
-            "noise": vars(cfg.noise),
-            "amplifier": vars(cfg.amplifier),
-        },
+        "config": {"seed": cfg.seed, "trials": cfg.trials,
+                   **{section: {key: getattr(getattr(cfg, section), key) for key in keys}
+                      for section, keys in config.SCHEMA.items() if section != "run"}},
         "rows": rows,
     }
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
@@ -56,17 +51,6 @@ def write_text(text: str, out_path: str | None) -> None:
 def write_output(rows, cfg, command: str, out_path: str | None, fmt: str) -> None:
     write_text(rows_to_csv(rows) if fmt == "csv" else rows_to_json(rows, cfg, command),
                out_path)
-
-
-def _load_config(args) -> config.ExperimentConfig:
-    cfg = config.load(args.config)
-    if args.seed is not None:
-        cfg.seed = args.seed
-    if args.trials is not None:
-        cfg.trials = args.trials
-    if args.format is not None:
-        cfg.out_format = args.format
-    return cfg
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -114,7 +98,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("kind", choices=[k.value for k in asm.EmitKind])
     p.add_argument("--deplen", type=int, default=5)
     p.add_argument("--accesslen", type=int, default=1)
-    p.add_argument("--fan-in", type=int, default=1)
+    p.add_argument("--fan-in", type=int, help="guard inputs (default: 2 for nand, else 1)")
     p.add_argument("--stride", type=int, default=4160)
     p.add_argument("--label-base", type=int, default=1)
     return parser
@@ -130,21 +114,22 @@ def main(argv=None) -> int:
 
 
 def _run(parser: argparse.ArgumentParser, args) -> int:
-    cfg = _load_config(args)
+    cfg = config.load(args.config, flags={flag: getattr(args, flag[2:], None)
+                                          for flag in config.FLAGS})
     fmt = cfg.out_format
 
     if args.command == "truth-tables":
         rows = experiments.run_truth_tables(cfg)
     elif args.command == "amp-sweep":
-        detail, rows = experiments.run_amplifier_sweep(cfg, args.iterations)
+        detail, rows = experiments.run_amplifier_sweep(cfg)
         if args.detail_out:
             write_output(detail, cfg, "amp-sweep-detail", args.detail_out, fmt)
     elif args.command == "amp-consistency":
-        rows = experiments.run_amplifier_consistency(cfg, args.granularities, args.iterations)
+        rows = experiments.run_amplifier_consistency(cfg)
     elif args.command == "binsearch":
-        rows = experiments.run_binary_search(cfg, args.sizes)
+        rows = experiments.run_binary_search(cfg)
     elif args.command == "counter":
-        rows = experiments.run_counter(cfg, args.sizes)
+        rows = experiments.run_counter(cfg)
     elif args.command == "compile":
         with open(args.netlist, "r", encoding="utf-8") as fh:
             net = netlist.parse(fh.read())
@@ -160,8 +145,9 @@ def _run(parser: argparse.ArgumentParser, args) -> int:
         sys.stdout.write("".join("1" if b else "0" for b in out) + "\n")
         return 0
     elif args.command == "emit-asm":
+        fan_in = args.fan_in if args.fan_in is not None else 2 if args.kind == "nand" else 1
         req = asm.EmitRequest(kind=asm.EmitKind(args.kind), deplen=args.deplen,
-                              accesslen=args.accesslen, fan_in=args.fan_in,
+                              accesslen=args.accesslen, fan_in=fan_in,
                               stride=args.stride, label_base=args.label_base)
         write_text(asm.emit(req), args.out)
         return 0

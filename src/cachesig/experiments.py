@@ -5,6 +5,7 @@ seed, so results are byte-reproducible."""
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 
 import numpy as np
@@ -130,17 +131,14 @@ def run_truth_tables(cfg: ExperimentConfig) -> list[dict]:
     return rows
 
 
-def run_amplifier_sweep(cfg: ExperimentConfig, iteration_list=None) -> tuple[list[dict], list[dict]]:
+def run_amplifier_sweep(cfg: ExperimentConfig) -> tuple[list[dict], list[dict]]:
     """Paired present/absent ensembles per iteration count.
 
     Returns (detail rows, summary rows); detail rows are plot-ready.
     """
-    iteration_list = list(iteration_list or cfg.iteration_counts)
     detail, summary = [], []
-    for iters in iteration_list:
-        acfg = amp.AmplifierConfig(
-            deplen=cfg.amplifier.deplen, accesslen=cfg.amplifier.accesslen,
-            stride=cfg.amplifier.stride, iterations=iters)
+    for iters in cfg.iteration_counts:
+        acfg = dataclasses.replace(cfg.amplifier, iterations=iters)
         samples = amp.strength_ensemble(acfg, cfg.noise, cfg.latency,
                                         cfg.trials, cfg.seed)
         strengths = np.array([s.strength_ns for s in samples])
@@ -162,16 +160,11 @@ def run_amplifier_sweep(cfg: ExperimentConfig, iteration_list=None) -> tuple[lis
     return detail, summary
 
 
-def run_amplifier_consistency(cfg: ExperimentConfig, granularities_ns=None,
-                              iteration_list=None) -> list[dict]:
-    granularities_ns = list(granularities_ns or cfg.granularities_ns)
-    iteration_list = list(iteration_list or cfg.iteration_counts)
+def run_amplifier_consistency(cfg: ExperimentConfig) -> list[dict]:
     rows = []
-    for iters in iteration_list:
-        for gran in granularities_ns:
-            acfg = amp.AmplifierConfig(
-                deplen=cfg.amplifier.deplen, accesslen=cfg.amplifier.accesslen,
-                stride=cfg.amplifier.stride, iterations=iters)
+    for iters in cfg.iteration_counts:
+        acfg = dataclasses.replace(cfg.amplifier, iterations=iters)
+        for gran in cfg.granularities_ns:
             tallies = {"correct": 0, "incorrect": 0, "indeterminate": 0}
             rngs = spawn_rngs(cfg.seed, cfg.trials)
             for t in range(cfg.trials):
@@ -204,9 +197,9 @@ def run_amplifier_consistency(cfg: ExperimentConfig, granularities_ns=None,
     return rows
 
 
-def run_binary_search(cfg: ExperimentConfig, sizes=None) -> list[dict]:
+def run_binary_search(cfg: ExperimentConfig) -> list[dict]:
     rows = []
-    for size in list(sizes or cfg.sizes):
+    for size in cfg.sizes:
         rounds = size.bit_length() - 1
         rngs = spawn_rngs(cfg.seed + size, cfg.trials)
         correct = 0
@@ -231,10 +224,10 @@ def run_binary_search(cfg: ExperimentConfig, sizes=None) -> list[dict]:
     return rows
 
 
-def run_counter(cfg: ExperimentConfig, sizes=None) -> list[dict]:
+def run_counter(cfg: ExperimentConfig) -> list[dict]:
     ctx = GadgetContext(state=CacheState(), latency=cfg.latency, noise=cfg.noise)
     rows = []
-    for size in list(sizes or cfg.sizes):
+    for size in cfg.sizes:
         width = counter_bit_width(size)
         timers = [TimerModel(granularity_ns=cfg.timer.granularity_ns,
                              jitter_ns=cfg.timer.jitter_ns) for _ in range(cfg.trials)]

@@ -83,7 +83,6 @@ class TimerModel:
 class NoiseModel:
     gadget_flip_prob: float = 0.0
     corruption_prob_per_iteration: float = 0.0
-    seed: int = 0
 
     def __post_init__(self):
         for p in (self.gadget_flip_prob, self.corruption_prob_per_iteration):

@@ -17,9 +17,9 @@ class UnderReportingTimer(TimerModel):
 
 @pytest.mark.parametrize("runner", [experiments.run_counter, experiments.run_binary_search])
 def test_measurement_budget_violation_raises(runner, monkeypatch):
-    cfg = ExperimentConfig(trials=3)
-    assert runner(cfg, [8])[0]["correct"] == 3
+    cfg = ExperimentConfig(trials=3, sizes=(8,))
+    assert runner(cfg)[0]["correct"] == 3
     monkeypatch.setattr(experiments, "TimerModel", UnderReportingTimer)
     with pytest.raises(AlgorithmError, match="budget"):
-        runner(cfg, [8])
+        runner(cfg)
 
