@@ -141,7 +141,22 @@ def self_reinforcing(input_line: LineId, cfg: AmplifierConfig,
 # Vectorised ensemble paths (equivalent to the loop above at zero latency
 # jitter; exercised against it in the test suite).  A flip at iteration i
 # toggles the live signal from i on, so the live value is the running
-# parity of the flips.
+# parity of the flips, counted in closed form over the flip positions.
+
+# Uniforms per draw call: PCG64 gives the same doubles and end state as one call.
+DRAW_CHUNK = 1 << 16
+
+
+def flip_positions(n: int, p: float, rng) -> np.ndarray:
+    """Sorted iterations of [0, n) that flip: one uniform each, below p."""
+    parts = [np.flatnonzero(rng.random(min(DRAW_CHUNK, n - start)) < p) + start
+             for start in range(0, n, DRAW_CHUNK)]
+    return np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
+
+
+def odd_parity_count(flips: np.ndarray, n: int) -> int:
+    """Iterations past an odd number of the flips k1 < k2 < ...: [k1, k2) + [k3, k4) + ..."""
+    return int(flips[1::2].sum()) - int(flips[0::2].sum()) + (n if len(flips) % 2 else 0)
 
 
 def simulate_elapsed(signal_present: bool, cfg: AmplifierConfig,
@@ -151,10 +166,11 @@ def simulate_elapsed(signal_present: bool, cfg: AmplifierConfig,
     if p == 0.0:
         term = present_term if signal_present else absent_term
         return cfg.iterations * term, False
-    flips = rng.random(cfg.iterations) < p
-    n_present = int(np.sum((np.cumsum(flips) & 1) ^ signal_present))
+    flips = flip_positions(cfg.iterations, p, rng)
+    n_odd = odd_parity_count(flips, cfg.iterations)
+    n_present = cfg.iterations - n_odd if signal_present else n_odd
     elapsed = present_term * n_present + absent_term * (cfg.iterations - n_present)
-    return elapsed, bool(flips.any())
+    return elapsed, len(flips) > 0
 
 
 def paired_strength(cfg: AmplifierConfig, noise: NoiseModel,
@@ -169,9 +185,9 @@ def paired_strength(cfg: AmplifierConfig, noise: NoiseModel,
     p = noise.corruption_prob_per_iteration
     if p == 0.0:
         return SignalStrengthSample(cfg.iterations * delta, cfg.iterations, False)
-    flips = rng.random(cfg.iterations) < p
-    signed = np.sum(1 - 2 * (np.cumsum(flips) & 1))
-    return SignalStrengthSample(delta * float(signed), cfg.iterations, bool(flips.any()))
+    flips = flip_positions(cfg.iterations, p, rng)
+    signed = cfg.iterations - 2 * odd_parity_count(flips, cfg.iterations)
+    return SignalStrengthSample(delta * float(signed), cfg.iterations, len(flips) > 0)
 
 
 def strength_ensemble(cfg: AmplifierConfig, noise: NoiseModel,

@@ -98,7 +98,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("kind", choices=[k.value for k in asm.EmitKind])
     p.add_argument("--deplen", type=int, default=5)
     p.add_argument("--accesslen", type=int, default=1)
-    p.add_argument("--fan-in", type=int, help="guard inputs (default: 2 for nand, else 1)")
+    p.add_argument("--fan-in", type=int, help="guard inputs (default: 2 for nand and nor, else 1)")
     p.add_argument("--stride", type=int, default=4160)
     p.add_argument("--label-base", type=int, default=1)
     return parser
@@ -145,7 +145,7 @@ def _run(parser: argparse.ArgumentParser, args) -> int:
         sys.stdout.write("".join("1" if b else "0" for b in out) + "\n")
         return 0
     elif args.command == "emit-asm":
-        fan_in = args.fan_in if args.fan_in is not None else 2 if args.kind == "nand" else 1
+        fan_in = {"nand": 2, "nor": 2}.get(args.kind, 1) if args.fan_in is None else args.fan_in
         req = asm.EmitRequest(kind=asm.EmitKind(args.kind), deplen=args.deplen,
                               accesslen=args.accesslen, fan_in=fan_in,
                               stride=args.stride, label_base=args.label_base)

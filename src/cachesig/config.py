@@ -13,7 +13,8 @@ from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 from .amplifier import AmplifierConfig
-from .timing import LatencyModel, NoiseModel, TimerModel
+from .engine import GadgetError
+from .timing import LatencyModel, NoiseModel, TimerModel, TimingError
 
 OUT_FORMATS = ("csv", "json")
 
@@ -95,8 +96,12 @@ def _layer(cfg: ExperimentConfig, names: dict, given: dict) -> ExperimentConfig:
     for section, values in updates.items():
         if section == "run":
             vars(cfg).update(values)
-        else:
+            continue
+        try:  # the model checks itself; name the settings this layer gave it
             setattr(cfg, section, dataclasses.replace(getattr(cfg, section), **values))
+        except (TimingError, GadgetError) as exc:
+            named = ", ".join(w for w in given if names[w][0] == section)
+            raise ConfigError(f"{exc} ({named})") from None
     return cfg
 
 
@@ -119,6 +124,10 @@ def to_ini(cfg: ExperimentConfig) -> str:
 def from_ini(text: str) -> ExperimentConfig:
     parser = configparser.ConfigParser()
     parser.read_string(text)
+    for section in parser.sections():
+        if section not in SCHEMA and not parser[section]:  # with keys, _layer names them
+            nearest = difflib.get_close_matches(section, list(SCHEMA), n=1, cutoff=0)[0]
+            raise ConfigError(f"unknown section [{section}]; did you mean [{nearest}]?")
     return _layer(ExperimentConfig(), _INI_KEYS,
                   {f"[{s}] {k}": v for s in parser.sections() for k, v in parser[s].items()})
 

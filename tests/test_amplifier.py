@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from cachesig import amplifier as amp
 from cachesig.cache import CacheState, LayoutConfig, allocate_lines
@@ -99,6 +100,54 @@ def test_paired_strength_flip_flips_sign_contribution():
     # signs: -1, +1 -> net zero
     assert s.strength_ns == 0.0
     assert s.corrupted
+
+
+# The dense per-step kernels the flip-position closed form replaced: the
+# running parity of the flips, one array element per iteration.
+def dense_elapsed(signal_present, cfg, noise, latency, rng):
+    present_term, absent_term = amp.per_iteration_terms(cfg, latency)
+    p = noise.corruption_prob_per_iteration
+    if p == 0.0:
+        term = present_term if signal_present else absent_term
+        return cfg.iterations * term, False
+    flips = rng.random(cfg.iterations) < p
+    n_present = int(np.sum((np.cumsum(flips) & 1) ^ signal_present))
+    elapsed = present_term * n_present + absent_term * (cfg.iterations - n_present)
+    return elapsed, bool(flips.any())
+
+
+def dense_strength(cfg, noise, latency, rng):
+    present_term, absent_term = amp.per_iteration_terms(cfg, latency)
+    delta = present_term - absent_term
+    p = noise.corruption_prob_per_iteration
+    if p == 0.0:
+        return amp.SignalStrengthSample(cfg.iterations * delta, cfg.iterations, False)
+    flips = rng.random(cfg.iterations) < p
+    signed = np.sum(1 - 2 * (np.cumsum(flips) & 1))
+    return amp.SignalStrengthSample(delta * float(signed), cfg.iterations, bool(flips.any()))
+
+
+CHUNK = amp.DRAW_CHUNK
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(0, 3 * CHUNK + 1), p=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1))
+@example(n=CHUNK - 1, p=1e-3, seed=1)
+@example(n=CHUNK, p=1e-3, seed=2)
+@example(n=CHUNK + 1, p=1e-3, seed=3)
+@example(n=2 * CHUNK + 1, p=1.0, seed=4)
+@example(n=CHUNK + 1, p=1.0, seed=5)
+@example(n=0, p=0.5, seed=6)
+def test_kernels_equal_dense_oracle(n, p, seed):
+    """Exact match, and the generator is left where the dense draw leaves it."""
+    cfg = amp.AmplifierConfig(iterations=n)
+    noise = NoiseModel(corruption_prob_per_iteration=p)
+    runs = [(amp.paired_strength, dense_strength, ())]
+    runs += [(amp.simulate_elapsed, dense_elapsed, (signal,)) for signal in (False, True)]
+    for kernel, oracle, head in runs:
+        got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert kernel(*head, cfg, noise, LAT, got_rng) == oracle(*head, cfg, noise, LAT, want_rng)
+        assert got_rng.random() == want_rng.random()
 
 
 def test_strength_ensemble_deterministic():

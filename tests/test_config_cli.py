@@ -281,6 +281,19 @@ def test_cli_rejects_unknown_out_format(monkeypatch, capsys):
                  id="missing-file"),
     pytest.param(["counter"], {}, "seed = 3\n", ["{ini}", "no section headers"],
                  id="no-section-header"),
+    pytest.param(["counter", "--sizes", "4"], {}, "[nosie]\n[run]\ntrials = 2\n",
+                 ["unknown section [nosie]", "did you mean [noise]?"], id="ini-empty-section-typo"),
+    pytest.param(["counter"], {"CACHESIG_LATENCY_HIT_NS": "100"}, None,
+                 ["miss_ns must exceed hit_ns", "(CACHESIG_LATENCY_HIT_NS)"], id="env-model-check"),
+    pytest.param(["counter"], {}, "[latency]\nhit_ns = 100\n",
+                 ["miss_ns must exceed hit_ns", "([latency] hit_ns)"], id="ini-model-check"),
+    pytest.param(["counter"], {"CACHESIG_LATENCY_MISS_NS": "40"}, "[latency]\nhit_ns = 50\n",
+                 ["miss_ns must exceed hit_ns", "(CACHESIG_LATENCY_MISS_NS)"],
+                 id="env-breaks-ini-model"),
+    pytest.param(["amp-sweep"], {"CACHESIG_AMPLIFIER_ACCESSLEN": "0",
+                                 "CACHESIG_NOISE_GADGET_FLIP_PROB": "0.1"}, None,
+                 ["bad amplifier parameters (CACHESIG_AMPLIFIER_ACCESSLEN)"],
+                 id="env-amplifier-check"),
 ])
 def test_cli_rejects_bad_settings(args, env, ini, named, tmp_path, monkeypatch, capsys):
     paths = {"missing": str(tmp_path / "missing.ini"), "ini": str(tmp_path / "exp.ini")}
@@ -307,6 +320,10 @@ def test_cli_json_echo_keys_follow_schema(capsys):
 
 def test_cli_emit_asm_nand_defaults_to_fan_in_2(capsys):
     assert run_cli(["emit-asm", "nand"], capsys) == (GOLDEN / "nand2.s").read_text()
+
+
+def test_cli_emit_asm_nor_defaults_to_fan_in_2(capsys):
+    assert run_cli(["emit-asm", "nor"], capsys) == (GOLDEN / "nor.s").read_text()
 
 
 def test_cli_exec_wrong_bit_count(tmp_path, capsys):
