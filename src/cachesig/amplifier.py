@@ -15,6 +15,8 @@ implementation and is tested equivalent.
 from __future__ import annotations
 
 import enum
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -84,7 +86,14 @@ def dependent_access_time(lines, ctx: GadgetContext) -> float:
 def per_iteration_terms(cfg: AmplifierConfig, latency: LatencyModel) -> tuple[float, float]:
     """(present_term, absent_term): elapsed contribution of one iteration
     for each live signal value.  A present signal leaves the working
-    array un-fetched, so its accesses all miss."""
+    array un-fetched, so its accesses all miss.  That holds only while every
+    stage inverts: no jitter, and a hit resolves within the window a miss outlasts."""
+    if latency.jitter_sigma_ns > 0:
+        raise GadgetError("the amplifier closed form does not model latency jitter")
+    window = cfg.deplen * latency.delay_op_ns
+    if not latency.redirect_ns + latency.hit_ns <= window < latency.redirect_ns + latency.miss_ns:
+        raise GadgetError(f"amplifier window deplen*delay_op_ns = {window:g} ns must satisfy "
+                          "redirect_ns + hit_ns <= window < redirect_ns + miss_ns")
     n = cfg.accesslen - 1
     return n * latency.miss_ns, n * latency.hit_ns
 
@@ -193,11 +202,40 @@ def paired_strength(cfg: AmplifierConfig, noise: NoiseModel,
 def strength_ensemble(cfg: AmplifierConfig, noise: NoiseModel,
                       latency: LatencyModel, trials: int, seed: int) -> list[SignalStrengthSample]:
     """Independent paired trials with substreams spawned from a root seed."""
-    root = np.random.SeedSequence(seed)
-    return [
-        paired_strength(cfg, noise, latency, np.random.default_rng(child))
-        for child in root.spawn(trials)
-    ]
+    return map_trials(lambda c: paired_strength(cfg, noise, latency, np.random.default_rng(c)),
+                      np.random.SeedSequence(seed).spawn(trials))
+
+
+CORES = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+def map_trials(fn, items) -> list:
+    """[fn(x) for x in items] on k = min(CORES, len(items)) threads, the caller
+    being thread 0: thread i takes items i, i+k, i+2k, ...  numpy's draws release
+    the interpreter lock, so independent trials overlap.  Once every thread has
+    stopped, raises what the loop would: the failure at the lowest item."""
+    items = list(items)
+    k = max(1, min(CORES, len(items)))
+    results, failed = [None] * len(items), {}
+
+    def run(first: int) -> None:
+        try:
+            for i in range(first, len(items), k):
+                results[i] = fn(items[i])
+        except Exception as exc:
+            failed[i] = exc
+
+    threads = [threading.Thread(target=run, args=(first,)) for first in range(1, k)]
+    for thread in threads:
+        thread.start()
+    try:
+        run(0)
+    finally:
+        for thread in threads:
+            thread.join()
+    if failed:
+        raise failed[min(failed)]
+    return results
 
 
 class RecoveredSignal(enum.Enum):

@@ -134,24 +134,6 @@ def emit(req: EmitRequest) -> str:
     return "\n".join(lines) + "\n"
 
 
-def emit_module(requests) -> str:
-    requests = list(requests)
-    bases = [r.label_base for r in requests]
-    if len(set(bases)) != len(bases):
-        raise EmitError("label_base collision between requests")
-    header = [
-        "# cacheline-signal gadget module",
-        "# " + "; ".join(
-            f"{r.kind.value}(deplen={r.deplen}, accesslen={r.accesslen}, "
-            f"fan_in={r.fan_in}, stride={r.stride}, base={r.label_base})"
-            for r in requests
-        ) if requests else "# (empty)",
-        "    .text",
-        "",
-    ]
-    return "\n".join(header) + "\n".join(emit(r) for r in requests)
-
-
 # ---------------------------------------------------------------------------
 # Structural checker: a small grammar over the emitted text.
 

@@ -165,9 +165,8 @@ def run_amplifier_consistency(cfg: ExperimentConfig) -> list[dict]:
     for iters in cfg.iteration_counts:
         acfg = dataclasses.replace(cfg.amplifier, iterations=iters)
         for gran in cfg.granularities_ns:
-            tallies = {"correct": 0, "incorrect": 0, "indeterminate": 0}
             rngs = spawn_rngs(cfg.seed, cfg.trials)
-            for t in range(cfg.trials):
+            def trial(t: int) -> str:  # each trial owns its state, timer and generator
                 truth = bool(t % 2)
                 line = allocate_lines(LayoutConfig(count=1))[0]
                 state = CacheState([line])
@@ -178,11 +177,11 @@ def run_amplifier_consistency(cfg: ExperimentConfig) -> list[dict]:
                                     noise=cfg.noise, rng=rngs[t])
                 got = amp.recover_signal(line, acfg, timer, ctx)
                 if got is amp.RecoveredSignal.INDETERMINATE:
-                    tallies["indeterminate"] += 1
-                elif (got is amp.RecoveredSignal.PRESENT) == truth:
-                    tallies["correct"] += 1
-                else:
-                    tallies["incorrect"] += 1
+                    return "indeterminate"
+                return "correct" if (got is amp.RecoveredSignal.PRESENT) == truth else "incorrect"
+
+            outcomes = amp.map_trials(trial, range(cfg.trials))
+            tallies = {k: outcomes.count(k) for k in ("correct", "incorrect", "indeterminate")}
             rows.append({
                 "iterations": iters,
                 "granularity_ns": gran,

@@ -294,25 +294,6 @@ def build_counter_netlist(n_inputs: int) -> Netlist:
     return lower(net)
 
 
-def build_increment_netlist(n_bits: int) -> Netlist:
-    """Ripple increment mod 2^n: adds the `cin` input into bits b0..b{n-1}."""
-    if n_bits < 1:
-        raise NetlistError("need at least one bit")
-    data = [f"b{i}" for i in range(n_bits)]
-    inputs = ["cin"] + data
-    names = _Names(inputs)
-    gates: list[Gate] = []
-    outs: list[str] = []
-    carry = "cin"
-    for b in data:
-        s = names.fresh("s")
-        c = names.fresh("s")
-        gates.extend(half_adder_gates(b, carry, s, c, names))
-        outs.append(s)
-        carry = c
-    return lower(Netlist(inputs=inputs, gates=gates, outputs=outs))
-
-
 # ---------------------------------------------------------------------------
 # Text format: header lines declare inputs/outputs, then one gate per line
 # in the form  OUT = KIND(IN1, IN2, ...); REPLICATE may list several

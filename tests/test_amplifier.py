@@ -1,8 +1,13 @@
+import os
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from cachesig import amplifier as amp
+from cachesig import cli
 from cachesig.cache import CacheState, LayoutConfig, allocate_lines
 from cachesig.engine import GadgetError
 from cachesig.gadgets import GadgetContext
@@ -170,6 +175,114 @@ def test_recover_signal_coarse_timer():
                                  timer, ctx)
         want = amp.RecoveredSignal.PRESENT if signal else amp.RecoveredSignal.ABSENT
         assert got is want
+
+
+# Whole-number latencies keep the loop's running sum exact.
+NS = st.integers(0, 120).map(float)
+
+
+@settings(max_examples=60, deadline=None)
+@given(hit=NS.map(lambda v: v + 1), gap=NS.map(lambda v: v + 1), delay_op=NS.map(lambda v: v + 1),
+       redirect=NS, deplen=st.integers(1, 64), accesslen=st.integers(2, 6),
+       iterations=st.integers(1, 4))
+@example(hit=4.0, gap=76.0, delay_op=5.0, redirect=2.0, deplen=5, accesslen=23, iterations=3)
+@example(hit=4.0, gap=16.0, delay_op=5.0, redirect=2.0, deplen=5, accesslen=23,
+         iterations=3)  # miss 20 ns: even a miss resolves within the window
+@example(hit=4.0, gap=76.0, delay_op=1.0, redirect=2.0, deplen=6, accesslen=4,
+         iterations=2)  # the window equals redirect + hit
+@example(hit=4.0, gap=76.0, delay_op=2.0, redirect=2.0, deplen=41, accesslen=4,
+         iterations=2)  # the window equals redirect + miss
+def test_closed_form_refuses_or_matches_gadget_loop(hit, gap, delay_op, redirect, deplen,
+                                                    accesslen, iterations):
+    """At zero noise the closed form refuses exactly the latencies under which
+    the gadget loop (every stage at cfg.deplen) carries no signal, and
+    otherwise gives the loop's elapsed time for each signal value."""
+    lat = LatencyModel(hit_ns=hit, miss_ns=hit + gap, delay_op_ns=delay_op, redirect_ns=redirect)
+    cfg = amp.AmplifierConfig(deplen=deplen, accesslen=accesslen, iterations=iterations)
+    loop = {}
+    for signal in (False, True):
+        lines = allocate_lines(LayoutConfig(count=1))
+        ctx = GadgetContext(state=CacheState(lines), latency=lat, deplen=deplen)
+        if signal:
+            ctx.state.touch(lines[0])
+        run = amp.self_reinforcing(lines[0], cfg, ctx)
+        loop[signal] = (run.elapsed_ns, run.corrupted)
+    if loop[False] == loop[True]:
+        with pytest.raises(GadgetError):
+            amp.per_iteration_terms(cfg, lat)
+        return
+    for signal in (False, True):
+        assert amp.simulate_elapsed(signal, cfg, NoiseModel(), lat,
+                                    np.random.default_rng(0)) == loop[signal]
+
+
+@pytest.mark.parametrize("cores", [1, 2, 3, 7])
+def test_map_trials_keeps_order(monkeypatch, cores):
+    monkeypatch.setattr(amp, "CORES", cores)
+    assert amp.map_trials(str, []) == []
+    for n in range(21):
+        assert amp.map_trials(lambda x: x * x, range(n)) == [x * x for x in range(n)]
+
+
+@pytest.mark.parametrize("cores", [1, 2, 3, 7])
+def test_map_trials_raises_the_lowest_failure(monkeypatch, cores):
+    monkeypatch.setattr(amp, "CORES", cores)
+
+    def fn(x):
+        if x in (5, 6):
+            raise ValueError(x)
+        return x
+
+    with pytest.raises(ValueError) as exc:
+        amp.map_trials(fn, range(12))
+    assert exc.value.args == (5,)  # item 5 runs on a worker thread for cores 2, 3 and 7
+
+
+def test_map_trials_under_fast_thread_switching(monkeypatch):
+    """More threads than cores, switching every microsecond: no result is
+    lost or misplaced, and no thread outlives the call."""
+    monkeypatch.setattr(amp, "CORES", 8)
+    children = np.random.SeedSequence(1).spawn(400)
+
+    def fn(child):
+        return float(np.random.default_rng(child).random(50).sum())
+
+    want = [fn(child) for child in children]
+    before = threading.active_count()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = amp.map_trials(fn, children)
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == want
+    assert threading.active_count() == before
+
+
+THREADED_COMMANDS = [
+    ["amp-sweep", "--iterations", "0", "1", "3000", "--seed", "3"],
+    ["amp-consistency", "--iterations", "0", "1000", "--granularities", "1e3", "1e5",
+     "--seed", "3"],
+]
+
+
+def test_cli_output_independent_of_core_count(monkeypatch, capsys, tmp_path):
+    for key in list(os.environ):
+        if key.startswith("CACHESIG_"):
+            monkeypatch.delenv(key)
+    monkeypatch.setenv("CACHESIG_NOISE_CORRUPTION_PROB_PER_ITERATION", "1e-3")
+    monkeypatch.setenv("CACHESIG_TIMER_JITTER_NS", "5e4")
+    for args in THREADED_COMMANDS:
+        for trials in ("1", "2", "9"):
+            outputs = set()
+            for cores in (1, 2, 3, 7):
+                monkeypatch.setattr(amp, "CORES", cores)
+                detail = tmp_path / f"detail_{cores}.csv"
+                extra = ["--detail-out", str(detail)] if args[0] == "amp-sweep" else []
+                assert cli.main(args + ["--trials", trials] + extra) == 0
+                out = capsys.readouterr().out
+                outputs.add((out, detail.read_text() if extra else ""))
+            assert len(outputs) == 1, (args, trials)
 
 
 def test_recover_signal_indeterminate_when_unamplified():

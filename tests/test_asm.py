@@ -8,7 +8,6 @@ from cachesig.asm import (
     EmitRequest,
     check_structure,
     emit,
-    emit_module,
 )
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -71,24 +70,6 @@ def test_replicator_output_loads_match_fan_out():
     for fan_out in (1, 2, 3):
         text = emit(EmitRequest(EmitKind.REPLICATOR, accesslen=fan_out))
         assert check_structure(text).output_loads == fan_out
-
-
-def test_emit_module_label_bases_must_differ():
-    reqs = [EmitRequest(EmitKind.INVERTER, label_base=1),
-            EmitRequest(EmitKind.NAND, fan_in=2, label_base=1)]
-    with pytest.raises(EmitError, match="collision"):
-        emit_module(reqs)
-
-
-def test_emit_module_concatenates():
-    reqs = [EmitRequest(EmitKind.INVERTER, label_base=1),
-            EmitRequest(EmitKind.NAND, fan_in=2, label_base=2)]
-    text = emit_module(reqs)
-    assert ".text" in text
-    assert "inverter_1:" in text
-    assert "nand_2:" in text
-    # two regions, one lfence each
-    assert text.count("lfence") == 2
 
 
 def test_structure_checker_flags_missing_redirect():

@@ -336,3 +336,19 @@ def test_cli_counter_rejects_latency_jitter(monkeypatch, capsys):
     monkeypatch.setenv("CACHESIG_LATENCY_JITTER_SIGMA_NS", "10")
     err = cli_error(["counter", "--sizes", "4", "--trials", "2"], capsys)
     assert "error: the counter executor does not model latency jitter" in err
+
+
+@pytest.mark.parametrize("command", ["amp-sweep", "amp-consistency"])
+@pytest.mark.parametrize("env, message", [
+    ({"CACHESIG_LATENCY_JITTER_SIGMA_NS": "10"},
+     "error: the amplifier closed form does not model latency jitter"),
+    # a 20 ns miss resolves inside the 25 ns window: no stage inverts a present line
+    ({"CACHESIG_LATENCY_MISS_NS": "20"},
+     "error: amplifier window deplen*delay_op_ns = 25 ns must satisfy"),
+])
+def test_cli_amplifier_rejects_latencies_it_does_not_model(monkeypatch, capsys, command,
+                                                           env, message):
+    for key, value in env.items():
+        monkeypatch.setenv(key, value)
+    err = cli_error([command, "--iterations", "100", "--trials", "4"], capsys)
+    assert message in err

@@ -24,6 +24,7 @@ ARGS = {  # golden file -> the command that prints it
     "amp_sweep_dense.csv": AMP_SWEEP_DENSE_ARGS,
     "amp_consistency_quiet.csv": AMP_CONSISTENCY_ARGS,
     "amp_consistency_noisy.csv": AMP_CONSISTENCY_ARGS,
+    "amp_consistency_jitter.csv": AMP_CONSISTENCY_ARGS,
 }
 CORRUPTION = {"CACHESIG_NOISE_CORRUPTION_PROB_PER_ITERATION": "1e-5"}
 
@@ -36,6 +37,8 @@ CORRUPTION = {"CACHESIG_NOISE_CORRUPTION_PROB_PER_ITERATION": "1e-5"}
     ("amp_consistency_noisy.csv", CORRUPTION),
     ("amp_sweep_dense.csv", {"CACHESIG_NOISE_CORRUPTION_PROB_PER_ITERATION": "1e-3"}),
     ("amp_consistency_quiet.csv", {}),
+    # Timer jitter draws from each trial's generator between its flip draws.
+    ("amp_consistency_jitter.csv", {**CORRUPTION, "CACHESIG_TIMER_JITTER_NS": "5e5"}),
 ])
 def test_counter_matches_golden(name, env, monkeypatch, capsys, tmp_path):
     for key in list(os.environ):

@@ -12,7 +12,6 @@ from cachesig.netlist import (
     Netlist,
     NetlistError,
     build_counter_netlist,
-    build_increment_netlist,
     compile_program,
     evaluate,
     execute,
@@ -157,18 +156,6 @@ def test_counter_netlist_popcount(n):
         out = evaluate(net, bits)
         value = sum(1 << k for k, name in enumerate(net.outputs) if out[name])
         assert value == sum(bits.values())
-
-
-@pytest.mark.parametrize("n_bits", [1, 2, 4])
-def test_increment_netlist(n_bits):
-    net = build_increment_netlist(n_bits)
-    for value in range(2 ** n_bits):
-        for cin in (0, 1):
-            env = {"cin": bool(cin)}
-            env.update({f"b{i}": bool(value >> i & 1) for i in range(n_bits)})
-            out = evaluate(net, env)
-            got = sum(1 << k for k, name in enumerate(net.outputs) if out[name])
-            assert got == (value + cin) % 2 ** n_bits
 
 
 def test_serialize_parse_roundtrip():
